@@ -208,7 +208,7 @@ fn bench_per_pivot_kernels(c: &mut Criterion) {
         dense_pivot / sparse_pivot
     );
     // Whole-pivot and whole-solve with candidate-list pricing
-    // (`WS_PRICING=partial`). These time-expanded LPs are degenerate enough
+    // (`SimplexConfig::partial_pricing`). These time-expanded LPs are degenerate enough
     // that the candidate sublist's narrower pivot choices inflate the
     // iteration count, so partial pricing is expected to be at best neutral
     // here — the lines below keep that trade-off measured rather than

@@ -1,22 +1,19 @@
-//! Criterion benchmarks for warm-started re-solves: RET with session-based
-//! probes versus per-probe cold solves, Stage 2 warm-started from the
-//! Stage-1 basis versus solved cold, and a column-generation master
-//! re-aim sequence with the basis factorization carried across solves
-//! versus refactored at every entry.
+//! Criterion benchmarks for warm-started re-solves: Stage 2 warm-started
+//! from the Stage-1 basis versus solved cold, and a column-generation
+//! master re-aim sequence with the basis factorization carried across
+//! solves versus refactored at every entry.
 //!
 //! Besides wall-clock, each group prints the solver work counters once at
 //! startup (iterations, warm starts accepted, cold fallbacks) so the
-//! iteration savings of warm starting are visible directly — the RET
-//! comparison is the paper-scale Fig. 4 workload at bench-friendly size.
+//! iteration savings of warm starting are visible directly. (RET's warm
+//! probes are timed by perfbench's `ret_overload` workload and proven
+//! equal to a cold bisection by the `ret` unit tests.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 use wavesched_core::instance::InstanceConfig;
-use wavesched_core::ret::{
-    probe_sequence_stats, solve_ret, ProbeResolveMode, RetConfig, RetResult,
-};
 use wavesched_core::stage1::solve_stage1;
 use wavesched_core::stage2::{
     solve_stage2_weighted_with_start, stage2_basis_from_stage1, WeightPolicy,
@@ -25,131 +22,8 @@ use wavesched_lp::{
     NewColumn, NewRow, Objective, Problem, RefactorPolicy, Row, SimplexConfig, SolveStats,
     SolverSession, Status,
 };
-use wavesched_net::{abilene14, Graph, PathSet};
-use wavesched_workload::{Job, WorkloadConfig, WorkloadGenerator};
-
-/// The Fig. 4 shape at bench-friendly size: an overloaded Abilene so RET's
-/// bisection and δ-growth both do real work.
-fn fig4_workload() -> (Graph, Vec<Job>, InstanceConfig, RetConfig) {
-    let (g, _) = abilene14(2);
-    let jobs = WorkloadGenerator::new(WorkloadConfig {
-        num_jobs: 15,
-        seed: 3000,
-        size_gb: (100.0, 400.0),
-        window: (2.0, 4.0),
-        ..Default::default()
-    })
-    .generate(&g);
-    let cfg = InstanceConfig::paper(2);
-    let ret_cfg = RetConfig {
-        bsearch_tol: 0.05,
-        b_max: 10.0,
-        max_delta_steps: 120,
-        ..RetConfig::default()
-    };
-    (g, jobs, cfg, ret_cfg)
-}
-
-fn run_ret(g: &Graph, jobs: &[Job], cfg: &InstanceConfig, ret_cfg: &RetConfig) -> RetResult {
-    solve_ret(g, jobs, cfg, ret_cfg)
-        .expect("ret solve")
-        .expect("workload must be overloaded but extensible")
-}
-
-fn bench_ret_cold_vs_warm(c: &mut Criterion) {
-    let (g, jobs, cfg, warm_cfg) = fig4_workload();
-    let cold_cfg = RetConfig {
-        warm_start: false,
-        ..warm_cfg.clone()
-    };
-
-    // One instrumented run of each mode: same b̂ and schedules by
-    // construction, different work.
-    let cold = run_ret(&g, &jobs, &cfg, &cold_cfg);
-    let warm = run_ret(&g, &jobs, &cfg, &warm_cfg);
-    assert_eq!(cold.b_final.to_bits(), warm.b_final.to_bits());
-    eprintln!(
-        "# ret cold: {} solves, {} iters ({} phase-1), {} warm accepted, {} fallbacks",
-        cold.stats.solves,
-        cold.stats.iterations,
-        cold.stats.phase1_iterations,
-        cold.stats.warm_starts_accepted,
-        cold.stats.warm_start_fallbacks,
-    );
-    eprintln!(
-        "# ret warm: {} solves, {} iters ({} phase-1), {} warm accepted, {} fallbacks",
-        warm.stats.solves,
-        warm.stats.iterations,
-        warm.stats.phase1_iterations,
-        warm.stats.warm_starts_accepted,
-        warm.stats.warm_start_fallbacks,
-    );
-    eprintln!(
-        "# ret warm saves {:.1}% of simplex iterations",
-        100.0 * (1.0 - warm.stats.iterations as f64 / cold.stats.iterations as f64)
-    );
-
-    let mut group = c.benchmark_group("ret_cold_vs_warm");
-    group.sample_size(10);
-    group.bench_function("cold", |b| {
-        b.iter(|| black_box(run_ret(&g, &jobs, &cfg, &cold_cfg)))
-    });
-    group.bench_function("warm", |b| {
-        b.iter(|| black_box(run_ret(&g, &jobs, &cfg, &warm_cfg)))
-    });
-    group.finish();
-}
-
-/// The RET probe sequence in isolation (no δ-growth, no LPDAR): the serial
-/// bisection replayed under three re-solve strategies. `Cold` pays a full
-/// solve per probe, `PrimalWarm` is the pre-dual session layer (re-fed
-/// basis forces the primal warm ladder), `SessionWarm` lets the session
-/// take the dual path on the bound-only edits. All three ask the same LP
-/// question per trial `b`, so b̂ is asserted bit-identical and the counter
-/// deltas are attributable purely to the re-solve strategy.
-fn bench_ret_probe_paths(c: &mut Criterion) {
-    let (g, jobs, cfg, ret_cfg) = fig4_workload();
-    let run = |mode: ProbeResolveMode| {
-        probe_sequence_stats(&g, &jobs, &cfg, &ret_cfg, mode)
-            .expect("probe sequence solve")
-            .expect("workload must be extensible within b_max")
-    };
-
-    let (b_cold, cold) = run(ProbeResolveMode::Cold);
-    let (b_primal, primal) = run(ProbeResolveMode::PrimalWarm);
-    let (b_dual, dual) = run(ProbeResolveMode::SessionWarm);
-    assert_eq!(b_cold.to_bits(), b_primal.to_bits());
-    assert_eq!(b_cold.to_bits(), b_dual.to_bits());
-    for (name, s) in [("cold", &cold), ("primal-warm", &primal), ("dual", &dual)] {
-        eprintln!(
-            "# ret probes {name}: {} solves, {} iters ({} phase-1, {} dual, {} flips), \
-             {} warm accepted, {} fallbacks",
-            s.solves,
-            s.iterations + s.dual_iterations,
-            s.phase1_iterations,
-            s.dual_iterations,
-            s.dual_bound_flips,
-            s.warm_starts_accepted,
-            s.warm_start_fallbacks,
-        );
-    }
-    eprintln!(
-        "# ret probes dual vs primal-warm: {:.2}x fewer simplex iterations",
-        (primal.iterations + primal.dual_iterations) as f64
-            / (dual.iterations + dual.dual_iterations) as f64
-    );
-
-    let mut group = c.benchmark_group("ret_probe_paths");
-    group.sample_size(10);
-    for (name, mode) in [
-        ("cold", ProbeResolveMode::Cold),
-        ("primal_warm", ProbeResolveMode::PrimalWarm),
-        ("session_dual", ProbeResolveMode::SessionWarm),
-    ] {
-        group.bench_function(name, |b| b.iter(|| black_box(run(mode))));
-    }
-    group.finish();
-}
+use wavesched_net::{abilene14, PathSet};
+use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn bench_stage2_cold_vs_warm(c: &mut Criterion) {
     let (g, _) = abilene14(4);
@@ -419,11 +293,5 @@ fn bench_cg_master_reaim(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_ret_cold_vs_warm,
-    bench_ret_probe_paths,
-    bench_stage2_cold_vs_warm,
-    bench_cg_master_reaim
-);
+criterion_group!(benches, bench_stage2_cold_vs_warm, bench_cg_master_reaim);
 criterion_main!(benches);

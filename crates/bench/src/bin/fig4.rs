@@ -18,7 +18,9 @@
 //! count against the exhaustive Yen column census it avoided
 //! materializing.
 
-use wavesched_bench::{env_usize, paper_random_network, par_points, quick, secs, BenchOpts};
+use wavesched_bench::{
+    env_usize, fig4_job_counts, fig4_ret_case, par_points, quick, secs, BenchOpts,
+};
 use wavesched_core::colgen::{ColGenConfig, PricerChoice};
 use wavesched_core::instance::InstanceConfig;
 use wavesched_core::ret::{solve_ret, solve_ret_colgen, RetConfig};
@@ -166,16 +168,10 @@ fn main() {
         colgen_sweep(&opts);
         return;
     }
-    let job_counts: Vec<usize> = if quick() {
-        vec![10, 20]
-    } else {
-        let max = env_usize("WS_JOBS", 100);
-        (1..=4).map(|k| k * max / 4).collect()
-    };
-    let w = 2;
+    let job_counts = fig4_job_counts();
 
     println!(
-        "# Fig. 4: RET average end time vs number of jobs (random network, W={w}, QF objective)"
+        "# Fig. 4: RET average end time vs number of jobs (random network, W=2, QF objective)"
     );
     println!("# solver-work columns: total LP solves, simplex iterations (phase 1 of those),");
     println!("# warm starts accepted, and cold fallbacks across the bisection and delta growth");
@@ -186,22 +182,7 @@ fn main() {
     // counters — is bit-identical at any thread count (see
     // tests/determinism.rs).
     let rows = par_points(&job_counts, |&n| {
-        let g = paper_random_network(w, 42);
-        let jobs = WorkloadGenerator::new(WorkloadConfig {
-            num_jobs: n,
-            seed: 3000,
-            size_gb: (100.0, 400.0),
-            window: (2.0, 4.0),
-            ..Default::default()
-        })
-        .generate(&g);
-        let cfg = InstanceConfig::paper(w);
-        let ret_cfg = RetConfig {
-            bsearch_tol: 0.05,
-            b_max: 10.0,
-            max_delta_steps: 120,
-            ..RetConfig::default()
-        };
+        let (g, jobs, cfg, ret_cfg) = fig4_ret_case(n);
         match solve_ret(&g, &jobs, &cfg, &ret_cfg).expect("ret") {
             Some(r) => format!(
                 "{n},{:.3},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{}",

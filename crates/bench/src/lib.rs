@@ -26,6 +26,7 @@
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::Duration;
 use wavesched_core::instance::{Instance, InstanceConfig};
+use wavesched_core::ret::RetConfig;
 use wavesched_net::{waxman_network, Graph, PathSet, WaxmanConfig};
 use wavesched_workload::{Job, WorkloadConfig, WorkloadGenerator};
 
@@ -87,6 +88,12 @@ pub fn quick() -> bool {
     SMOKE.load(Relaxed) || std::env::var("WS_QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
+/// Switches this process to smoke scale, as `--smoke` does; for tests that
+/// rebuild a binary's smoke instances in process.
+pub fn set_smoke() {
+    SMOKE.store(true, Relaxed);
+}
+
 /// CLI options shared by every bench binary.
 #[derive(Debug, Default)]
 pub struct BenchOpts {
@@ -108,7 +115,7 @@ pub fn bench_opts() -> BenchOpts {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--smoke" => SMOKE.store(true, Relaxed),
+            "--smoke" => set_smoke(),
             "--colgen" => opts.colgen = true,
             "--report" => match args.next() {
                 Some(path) => opts.report = Some(path),
@@ -169,6 +176,40 @@ pub fn fig_workload(g: &Graph, n: usize, seed: u64) -> Vec<Job> {
         ..Default::default()
     })
     .generate(g)
+}
+
+/// Fig. 4's job counts: 10 and 20 at smoke scale, else the four quarters of
+/// `WS_JOBS` (default 100).
+pub fn fig4_job_counts() -> Vec<usize> {
+    if quick() {
+        vec![10, 20]
+    } else {
+        let max = env_usize("WS_JOBS", 100);
+        (1..=4).map(|k| k * max / 4).collect()
+    }
+}
+
+/// Fig. 4's RET instance at `n` jobs: heavy transfers (100–400 GB) in short
+/// windows (2–4 slices) on the random network at W = 2, searched with
+/// bisection tolerance 0.05 and `b_max` = 10.
+pub fn fig4_ret_case(n: usize) -> (Graph, Vec<Job>, InstanceConfig, RetConfig) {
+    let w = 2;
+    let g = paper_random_network(w, 42);
+    let jobs = WorkloadGenerator::new(WorkloadConfig {
+        num_jobs: n,
+        seed: 3000,
+        size_gb: (100.0, 400.0),
+        window: (2.0, 4.0),
+        ..Default::default()
+    })
+    .generate(&g);
+    let ret_cfg = RetConfig {
+        bsearch_tol: 0.05,
+        b_max: 10.0,
+        max_delta_steps: 120,
+        ..RetConfig::default()
+    };
+    (g, jobs, InstanceConfig::paper(w), ret_cfg)
 }
 
 /// Builds the instance for `w` wavelengths per link (capacity constant at

@@ -20,8 +20,8 @@ use crate::schedule::Schedule;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use wavesched_lp::{
-    solve_with, Basis, Col, Objective, Problem, SimplexConfig, SolveError, SolveStats,
-    SolverSession, Status,
+    solve_with, Col, Objective, Problem, SimplexConfig, SolveError, SolveStats, SolverSession,
+    Status,
 };
 use wavesched_net::{Graph, PathSet};
 use wavesched_obs as obs;
@@ -71,13 +71,6 @@ pub struct RetConfig {
     pub lp: SimplexConfig,
     /// Safety cap on δ-growth iterations.
     pub max_delta_steps: usize,
-    /// Answer the bisection's feasibility probes on clones of a template
-    /// [`SolverSession`] built (and solved once) at `b_max`, warm-starting
-    /// every probe from that optimal basis (see [`solve_ret`]). Disable to
-    /// force a fresh cold solve per probe; the search trajectory and the
-    /// returned schedules are identical either way — only the work counters
-    /// differ.
-    pub warm_start: bool,
     /// Worker threads for speculative bisection probing: each round
     /// evaluates the next `d` midpoint levels of the search tree
     /// (`2^d − 1 <= threads`) concurrently, each probe on its own clone of
@@ -85,9 +78,7 @@ pub struct RetConfig {
     /// are pure functions of `b`, so `b̂`, the schedules, and the merged
     /// work counters are bit-identical for every thread count. `0` (the
     /// default) resolves from the `WS_THREADS` environment knob; `1` probes
-    /// serially on the calling thread. Ignored when `warm_start` is off —
-    /// cold probes rebuild instances through a shared path cache and stay
-    /// serial.
+    /// serially on the calling thread.
     pub threads: usize,
 }
 
@@ -101,7 +92,6 @@ impl Default for RetConfig {
             order: AdjustOrder::Paper,
             lp: SimplexConfig::default(),
             max_delta_steps: 60,
-            warm_start: true,
             threads: 0,
         }
     }
@@ -207,32 +197,6 @@ fn build_probe(inst: &Instance) -> Problem {
     p
 }
 
-/// Answers the bisection's feasibility questions `feasible(b)?`.
-///
-/// Both modes answer through the same [`build_probe`] LP, so the probe
-/// answers — and therefore the bisection trajectory and `b̂` — never depend
-/// on `warm_start`. With warm starts enabled, that LP is built **once** at
-/// `b_max` — whose variable space contains every probe's, since windows
-/// only grow with `b` — and each probe runs on a **clone** of that template
-/// session with column bounds retightened: variables of slices outside a
-/// job's window at the trial `b` are fixed to `[0, 0]`, the rest restored
-/// to `[0, bottleneck]`. That restricted LP asks the same question as the
-/// instance built directly at `b` (the extra capacity rows are satisfied
-/// trivially by the zeros, and the completion rows reduce to the in-window
-/// sums).
-///
-/// The template is solved lazily and re-anchored at fixed points of the
-/// realized sequence: the opening `feasible(0.0)` probe clones it
-/// *unsolved* (a cold solve, exactly like the cold mode's first probe); the
-/// `b_max` probe and the first bisection midpoint re-solve the template
-/// **in place** (see [`WarmProbe::probe_in_place`]); every other probe runs
-/// on a clone, warm-starting from the anchored optimal basis. Between
-/// anchor points the template is constant, so a probe's answer *and its
-/// work counters* are pure functions of `b` — the property that lets
-/// [`Prober::bisect`] evaluate speculative midpoints in parallel and still
-/// merge bit-identical realized stats at every pool width. Structural
-/// trouble degrades to a cold solve inside the clone, never to a wrong
-/// answer.
 /// The probes' LP settings: the configured simplex options plus
 /// candidate-list partial pricing. A probe's answer is a threshold test on
 /// the optimal *objective* — unique for an LP — never on the particular
@@ -247,26 +211,46 @@ fn probe_lp(cfg: &RetConfig) -> SimplexConfig {
     }
 }
 
+/// Answers the bisection's feasibility questions `feasible(b)?`.
+///
+/// Every probe asks the [`build_probe`] LP, built **once** at `b_max` —
+/// whose variable space contains every probe's, since windows only grow
+/// with `b` — and answered on a **clone** of that template session with
+/// column bounds retightened: variables of slices outside a job's window at
+/// the trial `b` are fixed to `[0, 0]`, the rest restored to
+/// `[0, bottleneck]`. That restricted LP asks the same question as the
+/// instance built directly at `b` (the extra capacity rows are satisfied
+/// trivially by the zeros, and the completion rows reduce to the in-window
+/// sums).
+///
+/// The template is solved lazily and re-anchored at fixed points of the
+/// realized sequence: the opening probes at `b = 0` (cold) and `b_max`
+/// (warm from it) solve it **in place** (see
+/// [`WarmProbe::probe_in_place`]); every bisection probe runs on a clone,
+/// warm-starting from the anchored optimal basis, and each bisection round
+/// ends by adopting its last realized clone as the template. Between anchor
+/// points the template is constant, so a probe's answer *and its work
+/// counters* are pure functions of `b` — the property that lets
+/// [`Prober::bisect`] evaluate speculative midpoints in parallel and still
+/// merge bit-identical realized stats at every pool width. Structural
+/// trouble degrades to a cold solve inside the clone, never to a wrong
+/// answer.
 struct Prober<'a> {
-    graph: &'a Graph,
     jobs: &'a [Job],
-    demands: &'a [f64],
-    inst_cfg: &'a InstanceConfig,
     cfg: &'a RetConfig,
-    pathset: &'a mut PathSet,
-    warm: Option<WarmProbe>,
+    warm: WarmProbe<'a>,
     /// Resolved probe-pool width (`cfg.threads`, `0` → `WS_THREADS`).
     width: usize,
     stats: SolveStats,
 }
 
-/// A warm probe's outcome: `(feasible, work, solved session if any)`.
+/// A probe's outcome: `(feasible, work, solved session if any)`.
 type ProbeResult = Result<(bool, SolveStats, Option<SolverSession>), SolveError>;
 
 /// The reusable probe template (see [`Prober`]).
-struct WarmProbe {
+struct WarmProbe<'a> {
     /// The instance at `b_max`; every probe's windows nest inside its own.
-    inst: Instance,
+    inst: &'a Instance,
     /// The template session; unsolved until [`Prober`] needs the `b_max`
     /// answer, then solved in place so clones inherit the optimal basis.
     template: SolverSession,
@@ -274,12 +258,12 @@ struct WarmProbe {
     upper: Vec<f64>,
 }
 
-impl WarmProbe {
+impl WarmProbe<'_> {
     /// Windows at trial `b`, on the `b_max` grid; `None` when some job's
-    /// window is empty (mirrors the cold path's `has_unschedulable_job`
-    /// check: the probe then answers `false` without an LP solve). The grid
-    /// is uniform, so a window that fits under the `b_max` horizon is the
-    /// same range the shorter grid of the `b`-instance would produce.
+    /// window is empty (the probe then answers `false` without an LP
+    /// solve). The grid is uniform, so a window that fits under the `b_max`
+    /// horizon is the same range the shorter grid of the `b`-instance would
+    /// produce.
     fn windows_at(&self, jobs: &[Job], mode: RetMode, b: f64) -> Option<Vec<Range<usize>>> {
         let mut windows: Vec<Range<usize>> = Vec::with_capacity(jobs.len());
         for job in jobs {
@@ -333,7 +317,7 @@ impl WarmProbe {
             return Ok((false, SolveStats::default(), None));
         };
         let mut session = self.template.clone();
-        Self::apply_windows(&self.inst, &self.upper, &mut session, &windows);
+        Self::apply_windows(self.inst, &self.upper, &mut session, &windows);
         let sol = session.solve()?;
         Ok((
             sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL,
@@ -344,9 +328,9 @@ impl WarmProbe {
 
     /// Like [`WarmProbe::probe`], but re-solves the template **in place**,
     /// re-anchoring the basis every later clone warm-starts from. Used at
-    /// two fixed points of the realized sequence — the `b_max` probe and
-    /// the first bisection midpoint — so the policy is independent of the
-    /// pool width and probe purity still holds for everything after.
+    /// fixed points of the realized sequence — the opening probes — so the
+    /// policy is independent of the pool width and probe purity still holds
+    /// for everything after.
     fn probe_in_place(
         &mut self,
         jobs: &[Job],
@@ -357,13 +341,8 @@ impl WarmProbe {
         let Some(windows) = self.windows_at(jobs, mode, b) else {
             return Ok((false, SolveStats::default()));
         };
-        let WarmProbe {
-            inst,
-            template,
-            upper,
-        } = self;
-        Self::apply_windows(inst, upper, template, &windows);
-        let sol = template.solve()?;
+        Self::apply_windows(self.inst, &self.upper, &mut self.template, &windows);
+        let sol = self.template.solve()?;
         Ok((
             sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL,
             sol.stats,
@@ -380,40 +359,18 @@ impl<'a> Prober<'a> {
     /// workers exactly and still halves the rounds for wider ones.
     const ROUND_DEPTH: usize = 2;
 
-    fn new(
-        graph: &'a Graph,
-        jobs: &'a [Job],
-        demands: &'a [f64],
-        inst_cfg: &'a InstanceConfig,
-        cfg: &'a RetConfig,
-        pathset: &'a mut PathSet,
-    ) -> Result<Self, SolveError> {
-        let mut warm = None;
-        if cfg.warm_start {
-            let inst =
-                extended_instance(graph, jobs, demands, cfg.b_max, cfg.mode, inst_cfg, pathset);
-            // An unschedulable job at b_max stays unschedulable at every
-            // smaller b (windows shrink, paths don't change); the cold
-            // probes then answer without solving, so a session is useless.
-            if !inst.has_unschedulable_job() {
-                let p = build_probe(&inst);
-                let template = SolverSession::with_config(&p, &probe_lp(cfg))?;
-                let upper = bottleneck_uppers(&inst);
-                warm = Some(WarmProbe {
-                    inst,
-                    template,
-                    upper,
-                });
-            }
-        }
+    /// A prober over `env`, the instance at `b_max` (with no unschedulable
+    /// job).
+    fn new(jobs: &'a [Job], env: &'a Instance, cfg: &'a RetConfig) -> Result<Self, SolveError> {
+        let template = SolverSession::with_config(&build_probe(env), &probe_lp(cfg))?;
         Ok(Prober {
-            graph,
             jobs,
-            demands,
-            inst_cfg,
             cfg,
-            pathset,
-            warm,
+            warm: WarmProbe {
+                inst: env,
+                template,
+                upper: bottleneck_uppers(env),
+            },
             width: wavesched_par::resolve_threads(cfg.threads),
             stats: SolveStats::default(),
         })
@@ -424,95 +381,54 @@ impl<'a> Prober<'a> {
     /// `b_max` fails. Runs the opening probes, then [`Prober::bisect`].
     fn search(&mut self) -> Result<Option<f64>, SolveError> {
         // The opening probes are fixed points of the realized sequence at
-        // every width, so they may all anchor the template in place,
+        // every width, so they may both anchor the template in place,
         // chaining their warm starts: b = 0 solves cold (the template is
         // fresh), b_max warms from the b = 0 basis.
         if self.feasible_anchoring(0.0)? {
             return Ok(Some(0.0));
         }
-        if !self.feasible_top()? {
+        if !self.feasible_anchoring(self.cfg.b_max)? {
             return Ok(None);
         }
         self.bisect(0.0, self.cfg.b_max).map(Some)
     }
 
-    /// Is the fractional SUB-RET feasible at extension `b`? (A *realized*
-    /// probe: counted and merged into the returned stats.)
-    fn feasible(&mut self, b: f64) -> Result<bool, SolveError> {
-        obs::counter_add("ret.probes", 1);
-        match &self.warm {
-            Some(wp) => {
-                let (ans, stats, _) = wp.probe(self.jobs, self.cfg.mode, b)?;
-                self.stats.merge(&stats);
-                Ok(ans)
-            }
-            None => self.feasible_cold(b),
-        }
-    }
-
-    /// The probe at `b_max`. In warm mode this solves the template **in
-    /// place**, so later probes warm-start from an optimal basis.
-    fn feasible_top(&mut self) -> Result<bool, SolveError> {
-        let b = self.cfg.b_max;
-        self.feasible_anchoring(b)
-    }
-
-    /// A realized probe that, in warm mode, re-solves the template in place
-    /// at `b`, re-anchoring the basis every later clone starts from. Called
-    /// at fixed points of the realized sequence only (the `b_max` probe and
-    /// the first bisection midpoint), so the template state seen by all
-    /// other probes stays independent of the pool width.
+    /// A realized probe that re-solves the template in place at `b`,
+    /// re-anchoring the basis every later clone starts from. Called at
+    /// fixed points of the realized sequence only (the opening probes), so
+    /// the template state seen by all other probes stays independent of
+    /// the pool width.
     fn feasible_anchoring(&mut self, b: f64) -> Result<bool, SolveError> {
         obs::counter_add("ret.probes", 1);
-        let (jobs, mode) = (self.jobs, self.cfg.mode);
-        match &mut self.warm {
-            Some(wp) => {
-                let (ans, stats) = wp.probe_in_place(jobs, mode, b)?;
-                self.stats.merge(&stats);
-                Ok(ans)
-            }
-            None => self.feasible_cold(b),
-        }
+        let (ans, stats) = self.warm.probe_in_place(self.jobs, self.cfg.mode, b)?;
+        self.stats.merge(&stats);
+        Ok(ans)
     }
 
     /// The bisection proper, between an infeasible `lo` and a feasible
     /// `hi`.
     ///
-    /// Warm mode proceeds in rounds of a **fixed** depth
-    /// [`Self::ROUND_DEPTH`]: each round covers the next `D` levels of the
-    /// midpoint tree (the `2^D − 1` candidate midpoints), every probe a
-    /// pure clone-solve of the round-entry template. With a pool width
-    /// over one, the whole round is evaluated concurrently up front
-    /// (speculation); serially, only realized midpoints are probed — in
-    /// both cases the walk merges the realized probes' stats, counts them
-    /// in `ret.probes`, and finally installs the last realized probe's
-    /// solved session as the next round's template, so warm-start anchors
-    /// converge toward `b̂` like a chained search would. The round
-    /// structure, the realized trajectory, and the installed anchors are
-    /// all independent of the pool width, so `b̂` and the merged stats are
-    /// bit-identical to the serial walk; mis-speculated probes cost only
-    /// wasted wall clock on otherwise-idle workers (reported under
-    /// `ret.speculative_probes`).
+    /// Proceeds in rounds of a **fixed** depth [`Self::ROUND_DEPTH`]: each
+    /// round covers the next `D` levels of the midpoint tree (the `2^D − 1`
+    /// candidate midpoints), every probe a pure clone-solve of the
+    /// round-entry template. With a pool width over one, the whole round is
+    /// evaluated concurrently up front (speculation); serially, only
+    /// realized midpoints are probed — in both cases the walk merges the
+    /// realized probes' stats, counts them in `ret.probes`, and finally
+    /// installs the last realized probe's solved session as the next
+    /// round's template, so warm-start anchors converge toward `b̂` like a
+    /// chained search would. The round structure, the realized trajectory,
+    /// and the installed anchors are all independent of the pool width, so
+    /// `b̂` and the merged stats are bit-identical to the serial walk;
+    /// mis-speculated probes cost only wasted wall clock on otherwise-idle
+    /// workers (reported under `ret.speculative_probes`).
     fn bisect(&mut self, lo: f64, hi: f64) -> Result<f64, SolveError> {
         let tol = self.cfg.bsearch_tol;
         let (mut lo, mut hi) = (lo, hi);
-        if self.warm.is_none() {
-            while hi - lo > tol {
-                let mid = 0.5 * (lo + hi);
-                if self.feasible(mid)? {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            return Ok(hi);
-        }
-
         while hi - lo > tol {
             let mut cands: Vec<f64> = Vec::with_capacity((1 << Self::ROUND_DEPTH) - 1);
             collect_midpoints(lo, hi, Self::ROUND_DEPTH, tol, &mut cands);
-            // lint: allow(lib-unwrap, reason = "invariant: the warm-probe branch is only entered after `self.warm` was populated")
-            let wp = self.warm.as_ref().expect("invariant: warm pack present");
+            let wp = &self.warm;
             let (jobs, mode) = (self.jobs, self.cfg.mode);
             // Speculate the full round when workers are available; probe
             // lazily (realized midpoints only) on a width-1 pool.
@@ -558,41 +474,10 @@ impl<'a> Prober<'a> {
             // Re-anchor for the next round on the last realized basis (a
             // pure function of the realized trajectory — width-independent).
             if let Some(s) = last_realized {
-                self.warm
-                    .as_mut()
-                    // lint: allow(lib-unwrap, reason = "invariant: same warm-probe branch; `self.warm` was populated before the round started")
-                    .expect("invariant: warm pack present")
-                    .template = s;
+                self.warm.template = s;
             }
         }
         Ok(hi)
-    }
-
-    /// The per-probe cold path: build the instance and the probe LP at `b`
-    /// and solve from scratch.
-    fn feasible_cold(&mut self, b: f64) -> Result<bool, SolveError> {
-        let _span = obs::span("ret_probe");
-        let inst = extended_instance(
-            self.graph,
-            self.jobs,
-            self.demands,
-            b,
-            self.cfg.mode,
-            self.inst_cfg,
-            self.pathset,
-        );
-        if inst.has_unschedulable_job() {
-            return Ok(false);
-        }
-        let p = build_probe(&inst);
-        let sol = solve_with(&p, &probe_lp(self.cfg))?;
-        self.stats.merge(&sol.stats);
-        Ok(sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL)
-    }
-
-    /// Ends probing, releasing the path cache and yielding the work done.
-    fn finish(self) -> SolveStats {
-        self.stats
     }
 }
 
@@ -609,118 +494,16 @@ fn collect_midpoints(lo: f64, hi: f64, depth: usize, tol: f64, out: &mut Vec<f64
     collect_midpoints(mid, hi, depth - 1, tol, out);
 }
 
-/// How [`probe_sequence_stats`] re-solves consecutive probes. Bench
-/// support (see `crates/bench/benches/warm.rs`): isolates what each layer
-/// of the warm-start story buys on the probe sequence alone.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeResolveMode {
-    /// Fresh session per probe: every probe pays a full cold solve.
-    Cold,
-    /// One chained session, but each probe re-feeds the previous optimal
-    /// basis via `warm_start_from` — the provenance downgrade forces the
-    /// primal warm ladder (phase-1 bound-shift repair), i.e. the pre-dual
-    /// behavior of the session layer.
-    PrimalWarm,
-    /// One chained session left to its own selection: bound-only edits
-    /// between optimal solves take the dual simplex path.
-    SessionWarm,
-}
-
-/// Bench support: replays the RET bisection probe sequence serially on the
-/// `b_max` envelope probe LP under an explicit re-solve strategy, returning
-/// `(b̂, probe-sequence work counters)` — `None` when some job is
-/// unschedulable even at `b_max`. All three modes ask the identical LP
-/// question per trial `b` (the envelope LP with out-of-window columns fixed
-/// to zero), so `b̂` is mode-independent and the counters isolate exactly
-/// the re-solve strategy.
-#[doc(hidden)]
-pub fn probe_sequence_stats(
-    graph: &Graph,
+/// Step 1 of Algorithm 2 over the `b_max` instance `env`: `b̂` (or `None`
+/// when even `b_max` is infeasible) and the probes' work.
+fn search_b_lp(
     jobs: &[Job],
-    inst_cfg: &InstanceConfig,
+    env: &Instance,
     cfg: &RetConfig,
-    mode: ProbeResolveMode,
-) -> Result<Option<(f64, SolveStats)>, SolveError> {
-    let demands: Vec<f64> = jobs
-        .iter()
-        .map(|j| inst_cfg.demand_units(j.size_gb))
-        .collect();
-    let mut pathset = PathSet::new(inst_cfg.paths_per_job);
-    let inst = extended_instance(
-        graph,
-        jobs,
-        &demands,
-        cfg.b_max,
-        cfg.mode,
-        inst_cfg,
-        &mut pathset,
-    );
-    if inst.has_unschedulable_job() {
-        return Ok(None);
-    }
-    let p = build_probe(&inst);
-    let upper = bottleneck_uppers(&inst);
-    let lp = probe_lp(cfg);
-    let mut session = SolverSession::with_config(&p, &lp)?;
-    let mut carried: Option<Basis> = None;
-    let mut stats = SolveStats::default();
-
-    let probe = |b: f64,
-                 session: &mut SolverSession,
-                 carried: &mut Option<Basis>,
-                 stats: &mut SolveStats|
-     -> Result<bool, SolveError> {
-        let mut windows: Vec<Range<usize>> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let ext = cfg.mode.apply(job, b);
-            let w = inst.grid.window_slices(ext.start, ext.end);
-            if w.is_empty() {
-                return Ok(false);
-            }
-            windows.push(w);
-        }
-        if mode == ProbeResolveMode::Cold {
-            *session = SolverSession::with_config(&p, &lp)?;
-        }
-        for (var, job, _, slice) in inst.vars.iter() {
-            let ub = if windows[job].contains(&slice) {
-                upper[var]
-            } else {
-                0.0
-            };
-            session.set_col_bounds(Col::from_index(var), 0.0, ub);
-        }
-        if mode == ProbeResolveMode::PrimalWarm {
-            if let Some(basis) = carried.take() {
-                session.warm_start_from(basis);
-            }
-        }
-        let sol = session.solve()?;
-        if mode == ProbeResolveMode::PrimalWarm && sol.status == Status::Optimal {
-            *carried = sol.basis.clone();
-        }
-        stats.merge(&sol.stats);
-        Ok(sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL)
-    };
-
-    let b_hat = if probe(0.0, &mut session, &mut carried, &mut stats)? {
-        0.0
-    } else if !probe(cfg.b_max, &mut session, &mut carried, &mut stats)? {
-        return Ok(None);
-    } else {
-        let (mut lo, mut hi) = (0.0, cfg.b_max);
-        while hi - lo > cfg.bsearch_tol {
-            let mid = 0.5 * (lo + hi);
-            if probe(mid, &mut session, &mut carried, &mut stats)? {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
-    };
-    Ok(Some((b_hat, stats)))
+) -> Result<(Option<f64>, SolveStats), SolveError> {
+    let mut prober = Prober::new(jobs, env, cfg)?;
+    let b_lp = prober.search()?;
+    Ok((b_lp, prober.stats))
 }
 
 /// Per-variable upper bounds for an instance's assignment columns: the
@@ -735,12 +518,6 @@ fn bottleneck_uppers(inst: &Instance) -> Vec<f64> {
 /// The δ-growth loop's Quick-Finish solver: one SUB-RET LP on the `b_max`
 /// envelope, re-solved per step with column bounds retightened to the
 /// step's windows and warm-started from the previous step's optimal basis.
-///
-/// Used in **both** warm and cold [`RetConfig`] modes: consecutive δ-steps
-/// run the exact same deterministic call sequence either way, so the
-/// fractional points — and therefore the LPDAR schedules and `b_final` —
-/// cannot depend on `warm_start`. (Probing is where the modes differ; see
-/// [`Prober`].)
 struct GrowthSession {
     inst: Instance,
     session: SolverSession,
@@ -843,21 +620,6 @@ pub fn solve_ret_with_demands(
     assert_eq!(jobs.len(), demands.len());
     let _span = obs::span("ret");
     let mut pathset = PathSet::new(inst_cfg.paths_per_job);
-
-    // Step 1: binary search for the smallest feasible b (fractional),
-    // with speculative parallel probing in warm mode (see [`Prober`]).
-    let mut prober = Prober::new(graph, jobs, demands, inst_cfg, cfg, &mut pathset)?;
-    let Some(b_lp) = prober.search()? else {
-        return Ok(None);
-    };
-    let mut stats = prober.finish();
-
-    // Steps 2–5: solve with Quick-Finish, discretize with LPDAR, grow b by
-    // delta until the integral schedule completes everything. The solves
-    // chain through one envelope session in *both* modes (see
-    // [`GrowthSession`]); only an extension past b_max — possible on the
-    // final step — exceeds the envelope and drops to a one-off cold build,
-    // again identically in both modes.
     let env = extended_instance(
         graph,
         jobs,
@@ -867,6 +629,24 @@ pub fn solve_ret_with_demands(
         inst_cfg,
         &mut pathset,
     );
+    // An unschedulable job at b_max stays unschedulable at every smaller b
+    // (windows shrink, paths don't change): no extension can help.
+    if env.has_unschedulable_job() {
+        return Ok(None);
+    }
+
+    // Step 1: binary search for the smallest feasible b (fractional),
+    // with speculative parallel probing (see [`Prober`]).
+    let (b_lp, mut stats) = search_b_lp(jobs, &env, cfg)?;
+    let Some(b_lp) = b_lp else {
+        return Ok(None);
+    };
+
+    // Steps 2–5: solve with Quick-Finish, discretize with LPDAR, grow b by
+    // delta until the integral schedule completes everything. The solves
+    // chain through one envelope session (see [`GrowthSession`]); only an
+    // extension past b_max — possible on the final step — exceeds the
+    // envelope and drops to a one-off cold build.
     let mut growth = GrowthSession::new(env, &cfg.lp)?;
     let mut b = b_lp;
     for _ in 0..cfg.max_delta_steps {
@@ -1168,44 +948,100 @@ mod tests {
         assert!(r.is_none());
     }
 
+    /// The cold oracle for the prober: the plain serial bisection, building
+    /// the probe LP directly at each trial `b` and solving it from scratch.
+    /// Returns `b̂` (`None` when `b_max` is infeasible) and the probes' work.
+    fn cold_bisection(
+        g: &Graph,
+        jobs: &[Job],
+        inst_cfg: &InstanceConfig,
+        cfg: &RetConfig,
+    ) -> (Option<f64>, SolveStats) {
+        let demands: Vec<f64> = jobs
+            .iter()
+            .map(|j| inst_cfg.demand_units(j.size_gb))
+            .collect();
+        let mut pathset = PathSet::new(inst_cfg.paths_per_job);
+        let mut stats = SolveStats::default();
+        let mut feasible = |b: f64| {
+            let inst = extended_instance(g, jobs, &demands, b, cfg.mode, inst_cfg, &mut pathset);
+            if inst.has_unschedulable_job() {
+                return false;
+            }
+            let sol = solve_with(&build_probe(&inst), &probe_lp(cfg)).unwrap();
+            stats.merge(&sol.stats);
+            sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL
+        };
+        let b_lp = if feasible(0.0) {
+            Some(0.0)
+        } else if !feasible(cfg.b_max) {
+            None
+        } else {
+            let (mut lo, mut hi) = (0.0, cfg.b_max);
+            while hi - lo > cfg.bsearch_tol {
+                let mid = 0.5 * (lo + hi);
+                if feasible(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            Some(hi)
+        };
+        (b_lp, stats)
+    }
+
+    /// The shipped prober on the same question as [`cold_bisection`].
+    fn warm_bisection(
+        g: &Graph,
+        jobs: &[Job],
+        inst_cfg: &InstanceConfig,
+        cfg: &RetConfig,
+    ) -> (Option<f64>, SolveStats) {
+        let demands: Vec<f64> = jobs
+            .iter()
+            .map(|j| inst_cfg.demand_units(j.size_gb))
+            .collect();
+        let mut pathset = PathSet::new(inst_cfg.paths_per_job);
+        let env = extended_instance(
+            g,
+            jobs,
+            &demands,
+            cfg.b_max,
+            cfg.mode,
+            inst_cfg,
+            &mut pathset,
+        );
+        search_b_lp(jobs, &env, cfg).unwrap()
+    }
+
     #[test]
     fn warm_probes_match_cold_bitwise() {
-        // Same b̂, same final b, and the exact same schedules — the session
-        // only changes how fast probes are answered, never the answers.
+        // Same b̂ as the cold oracle, and solve_ret reports that b̂ — the
+        // template session only changes how fast probes are answered,
+        // never the answers.
         for seed in [2, 4, 7] {
             let (g, jobs) = overloaded_jobs(10, seed);
             let cfg = InstanceConfig::paper(2);
-            let cold_cfg = RetConfig {
-                warm_start: false,
-                ..RetConfig::default()
-            };
-            let cold = solve_ret(&g, &jobs, &cfg, &cold_cfg)
-                .unwrap()
-                .expect("cold feasible");
-            let warm = solve_ret(&g, &jobs, &cfg, &RetConfig::default())
+            let ret_cfg = RetConfig::default();
+            let (cold_b, cold) = cold_bisection(&g, &jobs, &cfg, &ret_cfg);
+            let (warm_b, warm) = warm_bisection(&g, &jobs, &cfg, &ret_cfg);
+            let cold_b = cold_b.expect("cold feasible");
+            assert_eq!(
+                Some(cold_b.to_bits()),
+                warm_b.map(f64::to_bits),
+                "seed {seed}"
+            );
+            let full = solve_ret(&g, &jobs, &cfg, &ret_cfg)
                 .unwrap()
                 .expect("warm feasible");
-            assert_eq!(cold.b_lp.to_bits(), warm.b_lp.to_bits(), "seed {seed}");
-            assert_eq!(
-                cold.b_final.to_bits(),
-                warm.b_final.to_bits(),
-                "seed {seed}"
-            );
-            assert_eq!(cold.lp, warm.lp, "seed {seed}");
-            assert_eq!(cold.lpd, warm.lpd, "seed {seed}");
-            assert_eq!(cold.lpdar, warm.lpdar, "seed {seed}");
-            assert_eq!(cold.lp_solves(), warm.lp_solves(), "seed {seed}");
-            // Cold mode still chains the δ-growth session (shared by both
-            // modes); the warm mode adds the probe session on top.
+            assert_eq!(cold_b.to_bits(), full.b_lp.to_bits(), "seed {seed}");
+            assert_eq!(cold.solves, warm.solves, "seed {seed}");
             assert!(
-                warm.stats.warm_starts_accepted >= cold.stats.warm_starts_accepted,
-                "seed {seed}"
-            );
-            assert!(
-                warm.stats.iterations <= cold.stats.iterations,
+                warm.iterations <= cold.iterations,
                 "seed {seed}: warm {} > cold {}",
-                warm.stats.iterations,
-                cold.stats.iterations
+                warm.iterations,
+                cold.iterations
             );
         }
     }
@@ -1213,40 +1049,20 @@ mod tests {
     #[test]
     fn warm_probes_cut_iterations_on_fig4_workload() {
         // The Fig. 4 RET workload (scaled to test size): warm-started probes
-        // must save at least 30% of the total simplex iterations.
-        let (g, _) = abilene14(2);
-        let jobs = WorkloadGenerator::new(WorkloadConfig {
-            num_jobs: 15,
-            seed: 3000,
-            size_gb: (100.0, 400.0),
-            window: (2.0, 4.0),
-            ..Default::default()
-        })
-        .generate(&g);
+        // must save at least 30% of the cold oracle's simplex iterations.
+        let (g, jobs) = bisecting_jobs(15, 3000);
         let cfg = InstanceConfig::paper(2);
-        let base = RetConfig {
-            bsearch_tol: 0.05,
-            b_max: 10.0,
-            max_delta_steps: 120,
-            ..RetConfig::default()
-        };
-        let cold_cfg = RetConfig {
-            warm_start: false,
-            ..base.clone()
-        };
-        let cold = solve_ret(&g, &jobs, &cfg, &cold_cfg)
-            .unwrap()
-            .expect("cold feasible");
-        let warm = solve_ret(&g, &jobs, &cfg, &base)
-            .unwrap()
-            .expect("warm feasible");
-        assert_eq!(cold.b_lp.to_bits(), warm.b_lp.to_bits());
-        assert_eq!(cold.lpdar, warm.lpdar);
+        let ret_cfg = bisecting_cfg();
+        let (cold_b, cold) = cold_bisection(&g, &jobs, &cfg, &ret_cfg);
+        let (warm_b, warm) = warm_bisection(&g, &jobs, &cfg, &ret_cfg);
+        let cold_b = cold_b.expect("cold feasible");
+        assert!(cold_b > 0.0, "workload must bisect");
+        assert_eq!(Some(cold_b.to_bits()), warm_b.map(f64::to_bits));
         assert!(
-            (warm.stats.iterations as f64) <= 0.7 * cold.stats.iterations as f64,
+            (warm.iterations as f64) <= 0.7 * cold.iterations as f64,
             "warm {} vs cold {} iterations: less than 30% saved",
-            warm.stats.iterations,
-            cold.stats.iterations
+            warm.iterations,
+            cold.iterations
         );
     }
 

@@ -51,12 +51,9 @@ use lu::{Lu, LuScratch};
 pub enum RefactorPolicy {
     /// Refactorize on every solve entry and on the fixed
     /// [`SimplexConfig::refactor_interval`] cadence — the pre-persistence
-    /// behavior, kept as the reuse-off A/B baseline
-    /// (`WS_REFACTOR=always`).
+    /// behavior, kept as the reuse-off reference the differential tests
+    /// compare against.
     Always,
-    /// Carry the factorization across session solves; in-loop
-    /// refactorization on the fixed interval only.
-    Interval,
     /// Carry the factorization across session solves; in-loop, also cut
     /// the eta file as soon as its entry count stops paying for itself
     /// against the factor's own entry count (the default; see
@@ -119,10 +116,8 @@ pub struct SimplexConfig {
     pub kernel_density_threshold: f64,
     /// Candidate-list partial pricing for the primal path: pricing scans a
     /// minor-iteration sublist of attractive columns instead of every
-    /// nonbasic column, with periodic full refreshes. The `WS_PRICING`
-    /// environment variable overrides this (`full` / `partial`); `full` is
-    /// the exhaustive-scan differential oracle. Bland's anti-cycling rule
-    /// always bypasses the sublist, so the termination guarantee is
+    /// nonbasic column, with periodic full refreshes. Bland's anti-cycling
+    /// rule always bypasses the sublist, so the termination guarantee is
     /// unchanged.
     ///
     /// Off by default: partial pricing reaches the same *objective* but may
@@ -133,11 +128,10 @@ pub struct SimplexConfig {
     pub partial_pricing: bool,
     /// When to rebuild the LU factors vs. growing the eta file, and
     /// whether a [`SolverSession`] carries the factorization across
-    /// solves. The `WS_REFACTOR` environment variable overrides this
-    /// (`always` / `interval:N` / `cost-model`); a disabled cadence
-    /// (`refactor_interval: usize::MAX`, the kernel probes) pins the
-    /// policy to [`RefactorPolicy::Interval`] regardless, so probed
-    /// windows keep measuring steady-state eta chains.
+    /// solves. A disabled cadence (`refactor_interval: usize::MAX`, the
+    /// kernel probes) also switches off the cost-model cut and keeps
+    /// carried factors allowed under either policy, so probed windows keep
+    /// measuring steady-state eta chains.
     pub refactor_policy: RefactorPolicy,
 }
 
@@ -155,50 +149,6 @@ impl Default for SimplexConfig {
             refactor_policy: RefactorPolicy::CostModel,
         }
     }
-}
-
-/// Process-wide refactorization-policy override from the `WS_REFACTOR`
-/// environment variable, read once per process: `always` forces a fresh
-/// factor on every solve entry (the reuse-off A/B baseline), `interval:N`
-/// pins the fixed cadence at `N` etas with cross-solve reuse on,
-/// `cost-model` forces the cost-model policy, anything else (or unset)
-/// defers to [`SimplexConfig::refactor_policy`].
-fn refactor_env() -> Option<(RefactorPolicy, Option<usize>)> {
-    static MODE: std::sync::OnceLock<Option<(RefactorPolicy, Option<usize>)>> =
-        std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        // lint: allow(env-knob, reason = "WS_REFACTOR mirrors the sanctioned WS_PRICING pattern: read once at first use, config default preserved when unset, documented in the README")
-        match std::env::var("WS_REFACTOR") {
-            Ok(v) if v.eq_ignore_ascii_case("always") => Some((RefactorPolicy::Always, None)),
-            Ok(v) if v.eq_ignore_ascii_case("cost-model") => {
-                Some((RefactorPolicy::CostModel, None))
-            }
-            Ok(v) => v
-                .to_ascii_lowercase()
-                .strip_prefix("interval:")
-                .and_then(|n| n.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .map(|n| (RefactorPolicy::Interval, Some(n))),
-            Err(_) => None,
-        }
-    })
-}
-
-/// Process-wide pricing-mode override from the `WS_PRICING` environment
-/// variable, read once per process: `full` forces the exhaustive Devex scan
-/// (the bit-identical differential oracle), `partial` forces candidate-list
-/// pricing, anything else (or unset) defers to
-/// [`SimplexConfig::partial_pricing`].
-fn pricing_env() -> Option<bool> {
-    static MODE: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        // lint: allow(env-knob, reason = "WS_PRICING mirrors the sanctioned WS_THREADS pattern: read once at first use, config default preserved when unset, documented in the README")
-        match std::env::var("WS_PRICING") {
-            Ok(v) if v.eq_ignore_ascii_case("full") => Some(false),
-            Ok(v) if v.eq_ignore_ascii_case("partial") => Some(true),
-            _ => None,
-        }
-    })
 }
 
 /// Clamps a quantity to nonnegative with a deterministic `+0.0`.
@@ -412,9 +362,6 @@ struct Engine {
     /// signed artificials of a cold start and any basic variables a warm
     /// start left outside their bounds.
     relaxed: Vec<Relaxed>,
-    /// Partial pricing on for this engine (config plus the `WS_PRICING`
-    /// override, resolved at construction).
-    pricing_partial: bool,
     /// Partial-pricing candidate list: column indices, rebuilt by each full
     /// refresh, scanned on minor iterations. Cleared at phase start.
     cand: Vec<u32>,
@@ -437,9 +384,6 @@ struct Engine {
     sanitize_every: u64,
     /// Pivots remaining until the next sanitizer sweep (0 when disabled).
     sanitize_left: u64,
-    /// Resolved refactorization policy (config plus the `WS_REFACTOR`
-    /// override, with a disabled cadence pinning it to `Interval`).
-    refactor_policy: RefactorPolicy,
     /// Entry count of the current LU factors, set at every
     /// refactorization and bumped by the `add_rows` border extension —
     /// the cost model's per-pass work unit.
@@ -610,21 +554,6 @@ impl Engine {
         if cfg.max_iterations == 0 {
             cfg.max_iterations = 50 * (m as u64 + ncols as u64) + 10_000;
         }
-        // Resolve the refactorization policy. A disabled cadence
-        // (usize::MAX, the kernel probes) pins the policy to the plain
-        // interval mode and ignores the env override: probed windows must
-        // measure steady-state eta chains deterministically.
-        let refactor_policy = if cfg.refactor_interval == usize::MAX {
-            RefactorPolicy::Interval
-        } else {
-            if let Some((policy, interval)) = refactor_env() {
-                cfg.refactor_policy = policy;
-                if let Some(n) = interval {
-                    cfg.refactor_interval = n;
-                }
-            }
-            cfg.refactor_policy
-        };
         let nnz = std.a.nnz();
         let (csr_ptr, csr_cols) = build_row_mirror(&std.a);
         // lint: allow(lossy-cast, reason = "intentional truncation of a density fraction to a scratch-arena size")
@@ -657,7 +586,6 @@ impl Engine {
             eta_active: Vec::new(),
             kernel_cap,
             relaxed: Vec::new(),
-            pricing_partial: pricing_env().unwrap_or(cfg.partial_pricing),
             cand: Vec::new(),
             cand_member: vec![false; ncols],
             cand_budget: 0,
@@ -666,7 +594,6 @@ impl Engine {
             dual_order: Vec::with_capacity(nnz),
             sanitize_every: sanitize::sanitize_env(),
             sanitize_left: sanitize::sanitize_env(),
-            refactor_policy,
             lu_nnz: 0,
             reuse_ready: false,
             pending_lu_updates: 0,
@@ -1073,15 +1000,18 @@ impl Engine {
         try_reuse: bool,
     ) -> Result<Solution, SolveError> {
         let mut reuse_rejected = 0u64;
+        // Work spent by abandoned attempts (a rejected LU reuse, a failed
+        // warm start), charged to the solve that finally answers.
+        let mut burned = SolveStats::default();
         if try_reuse && start.is_some() {
             match self.attempt_reuse(try_dual) {
                 Ok(sol) => return Ok(sol),
                 Err(()) => {
                     // Reuse gate or continuation failed: undo any phase-1
                     // bound shifts it left behind, then run the ordinary
-                    // ladder from scratch. The burned work is discarded,
-                    // matching how a failed warm attempt restarts cold.
+                    // ladder from scratch, keeping the burned work.
                     reuse_rejected = 1;
+                    burned.merge(&self.abandoned_work());
                     for k in 0..self.relaxed.len() {
                         let Relaxed { col, lo, up } = self.relaxed[k];
                         self.std.lower[col] = lo;
@@ -1112,8 +1042,10 @@ impl Engine {
                 match self.attempt_warm(basis) {
                     Ok(sol) => break 'ladder sol,
                     Err(_) => {
-                        // Undo phase-1 bound shifts before restarting cold; the
-                        // cold path resets every other piece of engine state.
+                        // Keep the burned work (the dual attempt's too), undo
+                        // phase-1 bound shifts, and restart cold; the cold
+                        // path resets every other piece of engine state.
+                        burned.merge(&self.abandoned_work());
                         for k in 0..self.relaxed.len() {
                             let Relaxed { col, lo, up } = self.relaxed[k];
                             self.std.lower[col] = lo;
@@ -1130,9 +1062,24 @@ impl Engine {
             self.stats.warm_start_fallbacks = 0;
             sol
         };
-        sol.stats.refactor_reuse_rejected += reuse_rejected;
-        self.stats.refactor_reuse_rejected += reuse_rejected;
+        burned.refactor_reuse_rejected += reuse_rejected;
+        sol.stats.merge(&burned);
+        self.stats.merge(&burned);
         Ok(sol)
+    }
+
+    /// The counters of an attempt being abandoned: all the work it did,
+    /// without the per-solve outcome flags (solve count, warm start
+    /// accepted or fallen back, LU reuse hit), which belong to the attempt
+    /// that answers.
+    fn abandoned_work(&self) -> SolveStats {
+        SolveStats {
+            solves: 0,
+            warm_starts_accepted: 0,
+            warm_start_fallbacks: 0,
+            lu_reuse_hits: 0,
+            ..self.stats
+        }
     }
 
     /// Cold start: crash basis, phase 1 if needed, phase 2. Tentatively
@@ -1776,7 +1723,7 @@ impl Engine {
     /// a *complete* scan found no eligible column, so the claimed-optimal
     /// verification in [`Self::iterate`] has identical semantics in both.
     fn price(&mut self) -> Option<(usize, f64)> {
-        if self.bland || !self.pricing_partial {
+        if self.bland || !self.cfg.partial_pricing {
             return self.price_full();
         }
         if !self.cand.is_empty() && self.cand_budget > 0 {
@@ -1955,7 +1902,7 @@ impl Engine {
         // relevance from scratch), so weight maintenance is confined to the
         // sublist; reduced costs are always updated for every touched
         // column — optimality claims depend on them.
-        let partial = self.pricing_partial && !self.bland;
+        let partial = self.cfg.partial_pricing && !self.bland;
         let mut max_weight: f64 = 1.0;
         for &jc in &touched {
             let j = jc as usize;
@@ -2284,10 +2231,19 @@ impl Engine {
         debug_assert!(obj.is_finite(), "objective became non-finite after pivot");
     }
 
+    /// True when the fixed cadence is disabled (`refactor_interval ==
+    /// usize::MAX`, the kernel probes): the eta file then only grows — no
+    /// cost-model cut — and a session may still carry its factors, whatever
+    /// the configured policy, so probed windows measure steady-state eta
+    /// chains deterministically.
+    #[inline]
+    fn cadence_disabled(&self) -> bool {
+        self.cfg.refactor_interval == usize::MAX
+    }
+
     /// In-loop refactorization cadence shared by the primal and dual
     /// iteration loops: the fixed interval always applies (and is checked
-    /// first so `Interval`-policy counters are unaffected by the cost
-    /// model), then the cost model compares the eta file's entry count
+    /// first), then the cost model compares the eta file's entry count
     /// against the live factor's. Both triggers count entries — never
     /// wall-clock — so the trajectory is deterministic.
     #[inline]
@@ -2295,7 +2251,8 @@ impl Engine {
         if self.etas.len() >= self.cfg.refactor_interval {
             return Some(RefactorReason::Interval);
         }
-        if self.refactor_policy == RefactorPolicy::CostModel
+        if self.cfg.refactor_policy == RefactorPolicy::CostModel
+            && !self.cadence_disabled()
             && self.etas.len() >= COST_MODEL_MIN_ETAS
             && self.etas.entries.len() > COST_MODEL_ETA_FACTOR * self.lu_nnz
         {
@@ -2879,8 +2836,9 @@ impl SolverSession {
         let try_dual = self.warm_is_own && !self.cost_dirty;
         // Factorization reuse rides on the engine's own validity tracking
         // (`reuse_ready`, maintained across every in-place edit); the
-        // session only pins it off under the `Always` A/B policy.
-        let try_reuse = self.engine.refactor_policy != RefactorPolicy::Always;
+        // session only pins it off under the `Always` reference policy.
+        let try_reuse = self.engine.cfg.refactor_policy != RefactorPolicy::Always
+            || self.engine.cadence_disabled();
         let sol = self.engine.solve(self.warm.as_ref(), try_dual, try_reuse)?;
         if sol.status == Status::Optimal {
             self.warm.clone_from(&sol.basis);
@@ -3080,6 +3038,47 @@ mod tests {
         assert_eq!(s.status, Status::Optimal);
         // Optimal: x02=10 (50), x10=5 (15), x11=10 (10), x12=5 (35) => 110.
         assert_near(s.objective, 110.0);
+    }
+
+    #[test]
+    fn abandoned_warm_attempt_work_is_counted() {
+        // The transportation problem's optimal basis, offered after the
+        // demands move, needs a phase-1 repair. Under a one-pivot budget
+        // the repair runs out, the solve falls back cold, and the fallback
+        // solve must report the warm attempt's pivot on top of its own.
+        let build = |demand: [f64; 3]| {
+            let costs = [[2.0, 4.0, 5.0], [3.0, 1.0, 7.0]];
+            let mut p = Problem::new(Objective::Minimize);
+            let xs: Vec<Vec<Col>> = (0..2)
+                .map(|i| {
+                    (0..3)
+                        .map(|j| p.add_col(0.0, f64::INFINITY, costs[i][j]))
+                        .collect()
+                })
+                .collect();
+            for (i, supply) in [10.0, 20.0].into_iter().enumerate() {
+                let coeffs: Vec<_> = (0..3).map(|j| (xs[i][j], 1.0)).collect();
+                p.add_row(f64::NEG_INFINITY, supply, &coeffs);
+            }
+            for (j, d) in demand.into_iter().enumerate() {
+                let coeffs: Vec<_> = (0..2).map(|i| (xs[i][j], 1.0)).collect();
+                p.add_row(d, d, &coeffs);
+            }
+            p
+        };
+        let basis = solve(&build([5.0, 10.0, 15.0])).unwrap().basis;
+        let moved = build([15.0, 10.0, 5.0]);
+        let cfg = SimplexConfig {
+            max_iterations: 1,
+            ..SimplexConfig::default()
+        };
+        let cold = solve_with(&moved, &cfg).unwrap();
+        let fallback = solve_with_start(&moved, &cfg, basis.as_ref()).unwrap();
+        assert_eq!(fallback.stats.warm_start_fallbacks, 1);
+        assert_eq!(fallback.stats.warm_starts_accepted, 0);
+        assert_eq!(fallback.stats.solves, 1);
+        assert!(fallback.stats.iterations > cold.stats.iterations);
+        assert!(fallback.stats.refactorizations > cold.stats.refactorizations);
     }
 
     #[test]
