@@ -349,6 +349,18 @@ struct Engine {
     /// to `nnz(A)` up front (the worst-case number of pushes before
     /// dedup), so steady-state pivots never grow it.
     touched: Vec<u32>,
+    /// The pivotal row of the current pivot: `(column, alpha_j)` pairs of
+    /// the touched columns with `|alpha_j| > ROW_DROP_TOL`, ascending by
+    /// column. Computed once per pivot by [`Self::pivot_row`] (the primal
+    /// loop after pricing, the dual ratio test before choosing) and
+    /// consumed by [`Self::update_reduced_and_weights`].
+    row: Vec<(u32, f64)>,
+    /// The columns whose `eligible_dir` is `Some`: primal pricing walks
+    /// this instead of every column. Rebuilt by
+    /// [`Self::recompute_reduced`], then kept exact in O(1) per column
+    /// whose reduced cost or state a pivot changes
+    /// ([`Self::refresh_eligible`]).
+    elig: SlotSet,
     /// DFS scratch for the sparse LU triangular solves.
     lu_scratch: LuScratch,
     /// Per-eta activation flags for the pruned BTRAN eta pass (scratch,
@@ -371,14 +383,21 @@ struct Engine {
     cand_member: Vec<bool>,
     /// Minor iterations remaining before the next forced full refresh.
     cand_budget: u32,
-    /// Refresh scratch: `(score, column)` pairs of eligible columns.
+    /// Refresh scratch: `(score, column)` pairs of eligible columns. Sized
+    /// by the refreshes to the eligible set, so engines that never price
+    /// partially never allocate it.
     cand_scores: Vec<(f64, u32)>,
-    /// Dual ratio-test scratch: `(column, alpha)` pairs over the pivotal
-    /// row's nonbasic support.
+    /// Dual ratio-test scratch: the pivotal-row pairs eligible to enter,
+    /// sorted by dual ratio. This and the other `dual_*` buffers grow only
+    /// inside the dual loop, so primal-only engines never allocate them.
     dual_cols: Vec<(u32, f64)>,
-    /// Dual BFRT scratch: candidate order of `dual_cols` indices, sorted by
-    /// dual ratio.
+    /// Dual BFRT scratch: the candidates flipped to their other bound.
     dual_order: Vec<u32>,
+    /// Dual leaving-row set: the basis positions whose bound violation
+    /// exceeds `feas_tol`. Rebuilt on dual-loop entry and after an in-loop
+    /// refactorization, kept exact for every position a flip or a pivot
+    /// moves.
+    dual_infeas: SlotSet,
     /// Sanitizer sweep interval (`WS_SANITIZE`, resolved at construction);
     /// 0 disables the sanitizer entirely.
     sanitize_every: u64,
@@ -514,6 +533,74 @@ impl EtaFile {
     }
 }
 
+/// A set of indices below a fixed bound, with O(1) membership updates: the
+/// members in no particular order, plus each index's slot in that list
+/// (`NOT_LISTED` when absent). Backs the maintained eligible-column and
+/// infeasible-row sets.
+#[derive(Debug, Clone, Default)]
+struct SlotSet {
+    list: Vec<u32>,
+    slot: Vec<u32>,
+}
+
+const NOT_LISTED: u32 = u32::MAX;
+
+impl SlotSet {
+    /// Empties the set and sizes it for indices below `n`, with room for
+    /// every one of them, so later updates never allocate.
+    fn reset(&mut self, n: usize) {
+        self.list.clear();
+        self.list.reserve(n);
+        self.slot.clear();
+        self.slot.resize(n, NOT_LISTED);
+    }
+
+    /// Makes `i` a member exactly when `member` holds.
+    #[inline]
+    fn set(&mut self, i: usize, member: bool) {
+        let slot = self.slot[i];
+        match (member, slot == NOT_LISTED) {
+            (true, true) => {
+                self.slot[i] = self.list.len() as u32;
+                self.list.push(i as u32);
+            }
+            (false, false) => {
+                self.list.swap_remove(slot as usize);
+                if let Some(&moved) = self.list.get(slot as usize) {
+                    self.slot[moved as usize] = slot;
+                }
+                self.slot[i] = NOT_LISTED;
+            }
+            _ => {}
+        }
+    }
+
+    /// The members, in no particular order.
+    #[inline]
+    fn members(&self) -> &[u32] {
+        &self.list
+    }
+
+    /// True when the members are exactly the indices `member` accepts and
+    /// the slot index agrees with the list (the debug-build check).
+    #[cfg(debug_assertions)]
+    fn is_exactly(&self, member: impl Fn(usize) -> bool) -> bool {
+        (0..self.slot.len()).all(|i| {
+            let listed = self.list.get(self.slot[i] as usize) == Some(&(i as u32));
+            listed == member(i) && (listed || self.slot[i] == NOT_LISTED)
+        }) && self
+            .list
+            .iter()
+            .enumerate()
+            .all(|(k, &i)| self.slot[i as usize] as usize == k)
+    }
+}
+
+/// Pivotal-row entries at or below this magnitude are treated as zero:
+/// they update no reduced cost, and the dual ratio test, whose pivot
+/// tolerance (`PIVOT_TOL`) is larger, never sees them.
+const ROW_DROP_TOL: f64 = 1e-12;
+
 enum PhaseOutcome {
     Optimal,
     Unbounded,
@@ -582,6 +669,8 @@ impl Engine {
             rho: WorkVec::new(m),
             dual: vec![0.0; m],
             touched: Vec::with_capacity(nnz),
+            row: Vec::with_capacity(ncols),
+            elig: SlotSet::default(),
             lu_scratch: LuScratch::new(m),
             eta_active: Vec::new(),
             kernel_cap,
@@ -589,9 +678,10 @@ impl Engine {
             cand: Vec::new(),
             cand_member: vec![false; ncols],
             cand_budget: 0,
-            cand_scores: Vec::with_capacity(ncols),
-            dual_cols: Vec::with_capacity(nnz),
-            dual_order: Vec::with_capacity(nnz),
+            cand_scores: Vec::new(),
+            dual_cols: Vec::new(),
+            dual_order: Vec::new(),
+            dual_infeas: SlotSet::default(),
             sanitize_every: sanitize::sanitize_env(),
             sanitize_left: sanitize::sanitize_env(),
             lu_nnz: 0,
@@ -629,6 +719,7 @@ impl Engine {
         // lint: allow(lossy-cast, reason = "intentional truncation of a density fraction to a scratch-arena size")
         self.kernel_cap = (pos_or_zero(self.cfg.kernel_density_threshold) * m as f64) as usize;
         self.touched = Vec::with_capacity(self.std.a.nnz());
+        self.row = Vec::with_capacity(ncols);
         // The default iteration cap scales with the problem size; growth
         // may only raise it (an explicit user cap is never lowered).
         self.cfg.max_iterations = self
@@ -1549,6 +1640,7 @@ impl Engine {
                         self.recompute_reduced();
                         continue;
                     }
+                    self.pivot_row(pos, q);
                     self.update_reduced_and_weights(q, pos, alpha_q);
                     self.apply_pivot(q, dir, pos, step, &w);
                     self.ftran_w = w;
@@ -1681,7 +1773,8 @@ impl Engine {
         self.dual = y;
     }
 
-    /// Recomputes every reduced cost exactly from the current basis.
+    /// Recomputes every reduced cost exactly from the current basis, and
+    /// with them the eligible-column set.
     fn recompute_reduced(&mut self) {
         let y = self.take_duals();
         for j in 0..self.std.ncols() {
@@ -1692,6 +1785,18 @@ impl Engine {
             };
         }
         self.put_duals(y);
+        self.elig.reset(self.std.ncols());
+        for j in 0..self.std.ncols() {
+            self.refresh_eligible(j);
+        }
+    }
+
+    /// Brings column `j`'s membership in the eligible set up to date after
+    /// its reduced cost or state changed.
+    #[inline]
+    fn refresh_eligible(&mut self, j: usize) {
+        let eligible = self.eligible_dir(j).is_some();
+        self.elig.set(j, eligible);
     }
 
     /// Entering-direction eligibility of nonbasic column `j` under the
@@ -1735,25 +1840,30 @@ impl Engine {
         self.refresh_candidates()
     }
 
-    /// Devex pricing over every nonbasic column. Returns the entering
-    /// column and its movement direction.
+    /// Devex pricing over the eligible set. Returns the entering column and
+    /// its movement direction. The best score wins, ties going to the
+    /// lowest column index: the choice of an ascending scan over every
+    /// column.
     fn price_full(&mut self) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
-        for j in 0..self.std.ncols() {
-            let Some(dir) = self.eligible_dir(j) else {
-                continue;
-            };
+        let j = if self.bland {
+            // Bland: the lowest eligible index guarantees termination. An
+            // ascending scan stops at it, so it is the one column charged.
+            let j = *self.elig.members().iter().min()? as usize;
             self.stats.pricing_candidates_scanned += 1;
-            if self.bland {
-                // Bland: first eligible index guarantees termination.
-                return Some((j, dir));
+            j
+        } else {
+            self.stats.pricing_candidates_scanned += self.elig.members().len() as u64;
+            let mut best: Option<(usize, f64)> = None; // (col, score)
+            for &jc in self.elig.members() {
+                let j = jc as usize;
+                let score = self.d[j] * self.d[j] / self.weights[j];
+                if best.is_none_or(|(bj, s)| score.total_cmp(&s).then(bj.cmp(&j)).is_gt()) {
+                    best = Some((j, score));
+                }
             }
-            let score = self.d[j] * self.d[j] / self.weights[j];
-            if best.is_none_or(|(_, _, s)| score > s) {
-                best = Some((j, dir, score));
-            }
-        }
-        best.map(|(j, dir, _)| (j, dir))
+            best?.0
+        };
+        self.eligible_dir(j).map(|dir| (j, dir))
     }
 
     /// Minor-iteration pricing pass: best Devex score among the current
@@ -1777,11 +1887,12 @@ impl Engine {
         best.map(|(j, dir, _)| (j, dir))
     }
 
-    /// Full eligibility scan that rebuilds the candidate list with the
-    /// highest-scoring columns and returns the best of them. `None` means
-    /// no column anywhere is eligible (the full-scan optimality claim).
-    /// Entirely deterministic: scores tie-break toward the lower column
-    /// index, so the list does not depend on allocation or thread state.
+    /// Full pass over the eligible set that rebuilds the candidate list
+    /// with the highest-scoring columns and returns the best of them.
+    /// `None` means no column anywhere is eligible (the full-scan
+    /// optimality claim). Entirely deterministic: scores tie-break toward
+    /// the lower column index, so the list depends neither on the set's
+    /// order nor on allocation or thread state.
     fn refresh_candidates(&mut self) -> Option<(usize, f64)> {
         self.stats.partial_refreshes += 1;
         for &jc in &self.cand {
@@ -1790,13 +1901,12 @@ impl Engine {
         self.cand.clear();
         let mut scores = std::mem::take(&mut self.cand_scores);
         scores.clear();
-        for j in 0..self.std.ncols() {
-            if self.eligible_dir(j).is_none() {
-                continue;
-            }
-            self.stats.pricing_candidates_scanned += 1;
+        scores.reserve(self.elig.members().len());
+        self.stats.pricing_candidates_scanned += self.elig.members().len() as u64;
+        for &jc in self.elig.members() {
+            let j = jc as usize;
             let score = self.d[j] * self.d[j] / self.weights[j];
-            scores.push((score, j as u32));
+            scores.push((score, jc));
         }
         if scores.is_empty() {
             self.cand_scores = scores;
@@ -1842,9 +1952,64 @@ impl Engine {
         self.cand_budget = 0;
     }
 
+    /// Computes the pivotal row of basis position `r` into `self.row`:
+    /// `rho = B^{-T} e_r` by one sparse BTRAN, then `alpha_j = rho . a_j`
+    /// for the nonbasic, non-`exclude` columns intersecting rho's rows (via
+    /// the CSR mirror), keeping the pairs with `|alpha_j| > ROW_DROP_TOL`
+    /// in ascending column order.
+    fn pivot_row(&mut self, r: usize, exclude: usize) {
+        let mut rho = std::mem::take(&mut self.rho);
+        rho.clear();
+        rho.set(r as u32, 1.0);
+        self.btran_pos_sparse(&mut rho);
+        self.stats.btran_ops += 1;
+        self.stats.btran_nnz += rho.nnz() as u64;
+        if rho.is_dense() {
+            self.stats.btran_dense_fallbacks += 1;
+        }
+
+        // Touch only nonbasic columns that intersect rho's nonzero rows. A
+        // column may be visited once per such row, so the list is sorted
+        // and deduped afterwards — which also normalizes the visit order
+        // to the ascending order a dense row scan would produce.
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        if rho.is_dense() {
+            for (i, &rv) in rho.values.iter().enumerate() {
+                if rv.abs() <= ROW_DROP_TOL {
+                    continue;
+                }
+                self.push_row_cols(i, exclude, &mut touched);
+            }
+        } else {
+            rho.sort_pattern();
+            for &i in &rho.pattern {
+                let i = i as usize;
+                if rho.values[i].abs() <= ROW_DROP_TOL {
+                    continue;
+                }
+                self.push_row_cols(i, exclude, &mut touched);
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        self.stats.pivot_row_nnz += touched.len() as u64;
+        self.row.clear();
+        for &jc in &touched {
+            // Column-wise gather: the same FP summation order as the dense
+            // pricing pass (a row-wise scatter would reorder it).
+            let alpha_j = self.std.a.col_dot(jc as usize, &rho.values);
+            if alpha_j.abs() > ROW_DROP_TOL {
+                self.row.push((jc, alpha_j));
+            }
+        }
+        self.touched = touched;
+        self.rho = rho;
+    }
+
     /// After choosing pivot (entering `q`, leaving position `pos`), updates
-    /// the reduced costs and Devex weights using the pivotal row
-    /// `alpha = e_pos' B^{-1} A`.
+    /// the reduced costs and Devex weights from the pivotal row that
+    /// [`Self::pivot_row`] left in `self.row` for `pos`, skipping `q`.
     ///
     /// Reduced costs are always updated globally, even under candidate-list
     /// pricing. A sublist-only update (let non-candidate `d` go stale,
@@ -1854,65 +2019,26 @@ impl Engine {
     /// full recompute — far too frequent, and the sublist's pivot choices
     /// inflate the iteration count well past what the cheaper update saves.
     fn update_reduced_and_weights(&mut self, q: usize, pos: usize, alpha_q: f64) {
-        // rho = B^{-T} e_pos (row-indexed), computed sparsely into the
-        // engine-owned arena.
-        let mut rho = std::mem::take(&mut self.rho);
-        rho.clear();
-        rho.set(pos as u32, 1.0);
-        self.btran_pos_sparse(&mut rho);
-        self.stats.btran_ops += 1;
-        self.stats.btran_nnz += rho.nnz() as u64;
-        if rho.is_dense() {
-            self.stats.btran_dense_fallbacks += 1;
-        }
-
         let dq = self.d[q];
         let ratio = dq / alpha_q;
         let wq = self.weights[q].max(1.0);
         let leaving = self.basis[pos];
 
-        // Touch only nonbasic columns that intersect rho's nonzero rows. A
-        // column may be visited once per such row, so the list is sorted
-        // and deduped afterwards — which also normalizes the visit order
-        // to the ascending order a dense row scan would produce.
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.clear();
-        if rho.is_dense() {
-            for (r, &rv) in rho.values.iter().enumerate() {
-                if rv.abs() <= 1e-12 {
-                    continue;
-                }
-                self.push_row_cols(r, q, &mut touched);
-            }
-        } else {
-            rho.sort_pattern();
-            for &r in &rho.pattern {
-                let r = r as usize;
-                if rho.values[r].abs() <= 1e-12 {
-                    continue;
-                }
-                self.push_row_cols(r, q, &mut touched);
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        self.stats.pivot_row_nnz += touched.len() as u64;
         // With candidate-list pricing only the candidates' scores are ever
         // read before the next full refresh (which rebuilds weights'
         // relevance from scratch), so weight maintenance is confined to the
-        // sublist; reduced costs are always updated for every touched
-        // column — optimality claims depend on them.
+        // sublist; reduced costs are always updated for every row column —
+        // optimality claims depend on them.
         let partial = self.cfg.partial_pricing && !self.bland;
         let mut max_weight: f64 = 1.0;
-        for &jc in &touched {
+        let row = std::mem::take(&mut self.row);
+        for &(jc, alpha_j) in &row {
             let j = jc as usize;
-            // Column-wise gather: the same FP summation order as the dense
-            // pricing pass (a row-wise scatter would reorder it).
-            let alpha_j = self.std.a.col_dot(j, &rho.values);
-            if alpha_j.abs() <= 1e-12 {
+            if j == q {
                 continue;
             }
             self.d[j] -= ratio * alpha_j;
+            self.refresh_eligible(j);
             if partial && !self.cand_member[j] {
                 continue;
             }
@@ -1922,10 +2048,10 @@ impl Engine {
             }
             max_weight = max_weight.max(self.weights[j]);
         }
-        self.touched = touched;
-        self.rho = rho;
+        self.row = row;
         // Entering column becomes basic; leaving column becomes nonbasic
-        // with reduced cost -d_q / alpha_q and a fresh reference weight.
+        // with reduced cost -d_q / alpha_q and a fresh reference weight
+        // (`apply_pivot` brings both into the eligible set's bookkeeping).
         self.d[q] = 0.0;
         self.d[leaving] = -ratio;
         self.weights[leaving] = (wq / (alpha_q * alpha_q)).max(1.0);
@@ -2134,6 +2260,7 @@ impl Engine {
             VarState::AtUpper => VarState::AtLower,
             s => s,
         };
+        self.refresh_eligible(q);
     }
 
     fn apply_pivot(&mut self, q: usize, dir: f64, pos: usize, step: f64, w: &WorkVec) {
@@ -2174,6 +2301,8 @@ impl Engine {
         self.basis[pos] = q;
         self.state[q] = VarState::Basic(pos as u32);
         self.xb[pos] = entering_value;
+        self.refresh_eligible(q);
+        self.refresh_eligible(leaving);
 
         // Record the eta for B_new = B_old E, entries ascending by basis
         // position (sorted pattern / dense scan order — the BTRAN gather
@@ -2229,6 +2358,12 @@ impl Engine {
             obj += self.cost[j] * self.xb[pos];
         }
         debug_assert!(obj.is_finite(), "objective became non-finite after pivot");
+        // The maintained eligible set is exactly what a fresh scan of the
+        // maintained reduced costs would price.
+        debug_assert!(
+            self.elig.is_exactly(|j| self.eligible_dir(j).is_some()),
+            "eligible-column set differs from a fresh eligible_dir scan"
+        );
     }
 
     /// True when the fixed cadence is disabled (`refactor_interval ==

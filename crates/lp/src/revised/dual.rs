@@ -11,12 +11,15 @@
 //! pivots where the primal repair needs dozens.
 //!
 //! The path reuses the engine's existing machinery end to end: the sparse
-//! pivotal-row BTRAN and CSR row mirror for the dual ratio test, the
-//! bound-flip ratio test (boxed nonbasic variables that cannot block are
-//! flipped in bulk through one accumulated FTRAN), the entering column's
-//! sparse FTRAN, and the shared `apply_pivot` / `update_reduced_and_weights`
-//! pair — the dual reduced-cost update is algebraically the same pivotal-row
-//! formula the primal uses.
+//! pivotal row (`pivot_row`: one BTRAN plus the CSR row mirror) for the
+//! dual ratio test, the bound-flip ratio test (boxed nonbasic variables
+//! that cannot block are flipped in bulk through one accumulated FTRAN),
+//! the entering column's sparse FTRAN, and the shared `apply_pivot` /
+//! `update_reduced_and_weights` pair — the dual reduced-cost update is
+//! algebraically the same pivotal-row formula the primal uses, and it
+//! consumes the row the ratio test already computed. The leaving row comes
+//! from a maintained set of the infeasible basis positions, so a pivot
+//! costs what it changed rather than a scan of every row.
 //!
 //! **The PR 1 warm-path guarantee is preserved**: this path can only change
 //! the work counters, never the answer. Every exit that is not a verified
@@ -136,6 +139,7 @@ impl Engine {
         // basis is not winning anything over the primal repair — stop
         // burning work and let the fallback run.
         let cap = self.stats.iterations + 4 * m as u64 + 100;
+        self.rebuild_infeasible();
         loop {
             if self.stats.iterations >= self.cfg.max_iterations || self.stats.iterations >= cap {
                 return Err(());
@@ -143,26 +147,23 @@ impl Engine {
             if let Some(reason) = self.cadence_refactor_due() {
                 self.refactorize(reason).map_err(|_| ())?;
                 self.recompute_reduced();
+                self.rebuild_infeasible();
             }
 
-            // Leaving row: the largest bound violation among basic values
-            // (ties resolve to the lowest position via the strict compare).
-            let mut r = usize::MAX;
-            let mut viol = ftol;
-            for pos in 0..m {
-                let j = self.basis[pos];
-                let v = self.xb[pos];
-                let over = v - self.std.upper[j];
-                let under = self.std.lower[j] - v;
-                let w = over.max(under);
-                if w > viol {
-                    viol = w;
-                    r = pos;
+            // Leaving row: the largest bound violation among basic values,
+            // ties to the lowest position — the choice of an ascending scan
+            // over every position.
+            let mut best: Option<(usize, f64)> = None;
+            for &pc in self.dual_infeas.members() {
+                let pos = pc as usize;
+                let w = self.violation(pos);
+                if best.is_none_or(|(bp, bw)| w.total_cmp(&bw).then(bp.cmp(&pos)).is_gt()) {
+                    best = Some((pos, w));
                 }
             }
-            if r == usize::MAX {
+            let Some((r, viol)) = best else {
                 return Ok(()); // primal feasible
-            }
+            };
             let leaving = self.basis[r];
             let above = self.xb[r] - self.std.upper[leaving] > 0.0;
             // `s` orients the dual ratio test: +1 when the leaving value
@@ -175,54 +176,21 @@ impl Engine {
                 self.std.lower[leaving]
             };
 
-            // Pivotal row: rho = B^-T e_r, then alpha_j = rho . a_j for the
-            // nonbasic columns intersecting rho's rows (CSR mirror).
-            let mut rho = std::mem::take(&mut self.rho);
-            rho.clear();
-            rho.set(r as u32, 1.0);
-            self.btran_pos_sparse(&mut rho);
-            self.stats.btran_ops += 1;
-            self.stats.btran_nnz += rho.nnz() as u64;
-            if rho.is_dense() {
-                self.stats.btran_dense_fallbacks += 1;
-            }
-            let mut touched = std::mem::take(&mut self.touched);
-            touched.clear();
-            if rho.is_dense() {
-                for (row, &rv) in rho.values.iter().enumerate() {
-                    if rv.abs() <= 1e-12 {
-                        continue;
-                    }
-                    // usize::MAX: no entering column to exclude yet.
-                    self.push_row_cols(row, usize::MAX, &mut touched);
-                }
-            } else {
-                rho.sort_pattern();
-                for &row in &rho.pattern {
-                    let row = row as usize;
-                    if rho.values[row].abs() <= 1e-12 {
-                        continue;
-                    }
-                    self.push_row_cols(row, usize::MAX, &mut touched);
-                }
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            self.stats.pivot_row_nnz += touched.len() as u64;
+            // Pivotal row of r, computed once: the ratio test reads it here
+            // and the reduced-cost update consumes it after the pivot.
+            self.pivot_row(r, usize::MAX);
 
             // Dual ratio candidates: nonbasic columns whose reduced cost
             // shrinks toward zero as the r-th dual price moves in the
             // healing direction.
             let mut cands = std::mem::take(&mut self.dual_cols);
             cands.clear();
-            for &jc in &touched {
-                let j = jc as usize;
-                let alpha = self.std.a.col_dot(j, &rho.values);
+            for &(jc, alpha) in &self.row {
                 if alpha.abs() <= ptol {
                     continue;
                 }
                 let sa = s * alpha;
-                let ok = match self.state[j] {
+                let ok = match self.state[jc as usize] {
                     VarState::AtLower => sa > ptol,
                     VarState::AtUpper => sa < -ptol,
                     VarState::Free => true,
@@ -236,8 +204,6 @@ impl Engine {
                 // Dual ray. For a genuinely infeasible edit this is the
                 // expected exit — but it is NOT a proof (only the cold
                 // phase 1 is), so hand the instance to the fallback ladder.
-                self.rho = rho;
-                self.touched = touched;
                 self.dual_cols = cands;
                 return Err(());
             }
@@ -279,8 +245,6 @@ impl Engine {
                 entering = Some((j, alpha));
                 break;
             }
-            self.rho = rho;
-            self.touched = touched;
             self.dual_cols = cands;
             let Some((q, _alpha_q)) = entering else {
                 // Every candidate flipped without any of them blocking:
@@ -304,6 +268,7 @@ impl Engine {
                     let delta = newv - self.xval[j];
                     self.xval[j] = newv;
                     self.state[j] = st;
+                    self.refresh_eligible(j);
                     let (rows, vals) = self.std.a.col(j);
                     for (&row, &v) in rows.iter().zip(vals) {
                         rhs.add(row, v * delta);
@@ -314,11 +279,11 @@ impl Engine {
                 }
                 self.ftran_loaded(rhs);
                 let w = std::mem::take(&mut self.ftran_w);
-                let xb = &mut self.xb;
                 for_each_entry(&w, |pos, wv| {
                     // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
                     if wv != 0.0 {
-                        xb[pos] -= wv;
+                        self.xb[pos] -= wv;
+                        self.refresh_infeasible(pos);
                     }
                 });
                 self.ftran_w = w;
@@ -359,9 +324,24 @@ impl Engine {
             let step = super::pos_or_zero((self.xb[r] - target) / (wr * dir));
             self.update_reduced_and_weights(q, r, wr);
             self.apply_pivot(q, dir, r, step, &w);
+            // The pivot moved the basic values on w's support, which
+            // includes the re-based position r (|w[r]| > ptol).
+            for_each_entry(&w, |pos, wp| {
+                // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
+                if wp != 0.0 {
+                    self.refresh_infeasible(pos);
+                }
+            });
             self.ftran_w = w;
             #[cfg(debug_assertions)]
-            self.debug_invariants();
+            {
+                self.debug_invariants();
+                debug_assert!(
+                    self.dual_infeas
+                        .is_exactly(|pos| self.violation(pos) > self.cfg.feas_tol),
+                    "infeasible-row set differs from a fresh violation scan"
+                );
+            }
             self.maybe_sanitize();
             if step <= ftol * 1e-2 {
                 self.stats.degenerate_pivots += 1;
@@ -369,5 +349,30 @@ impl Engine {
             self.stats.iterations += 1;
             self.stats.dual_iterations += 1;
         }
+    }
+
+    /// Bound violation of the basic value at position `pos` (positive when
+    /// outside its bounds).
+    #[inline]
+    fn violation(&self, pos: usize) -> f64 {
+        let j = self.basis[pos];
+        let v = self.xb[pos];
+        (v - self.std.upper[j]).max(self.std.lower[j] - v)
+    }
+
+    /// Rebuilds the infeasible-row set from every basis position.
+    fn rebuild_infeasible(&mut self) {
+        self.dual_infeas.reset(self.std.nrows);
+        for pos in 0..self.std.nrows {
+            self.refresh_infeasible(pos);
+        }
+    }
+
+    /// Brings position `pos`'s membership in the infeasible-row set up to
+    /// date after its basic value or basic column changed.
+    #[inline]
+    fn refresh_infeasible(&mut self, pos: usize) {
+        let infeasible = self.violation(pos) > self.cfg.feas_tol;
+        self.dual_infeas.set(pos, infeasible);
     }
 }

@@ -120,6 +120,29 @@ where
     true
 }
 
+/// The order `Lu::factor` processes the basis positions in: sparsest
+/// column first, a cheap Markowitz-style ordering that keeps the
+/// mostly-singleton scheduling bases near-diagonal. A counting sort by
+/// column nnz, positions ascending within equal nnz: the order of
+/// `sort_by_key(|p| (nnz, p))` in linear time.
+fn sparsest_first(a: &CscMatrix, basis: &[usize]) -> Vec<u32> {
+    let max_nnz = basis.iter().map(|&j| a.col_nnz(j)).max().unwrap_or(0);
+    let mut next = vec![0usize; max_nnz + 2];
+    for &j in basis {
+        next[a.col_nnz(j) + 1] += 1;
+    }
+    for k in 1..next.len() {
+        next[k] += next[k - 1];
+    }
+    let mut order = vec![0u32; basis.len()];
+    for (p, &j) in basis.iter().enumerate() {
+        let k = a.col_nnz(j);
+        order[next[k]] = p as u32;
+        next[k] += 1;
+    }
+    order
+}
+
 impl Lu {
     /// Factorizes the basis given by `basis` (column indices into `a`).
     ///
@@ -130,10 +153,7 @@ impl Lu {
         let m = basis.len();
         assert_eq!(a.nrows(), m, "basis size must equal row count");
 
-        // Process sparsest columns first: cheap Markowitz-style ordering that
-        // keeps the mostly-singleton scheduling bases near-diagonal.
-        let mut col_order: Vec<u32> = (0..m as u32).collect();
-        col_order.sort_by_key(|&p| (a.col_nnz(basis[p as usize]), p));
+        let col_order = sparsest_first(a, basis);
 
         let mut row_perm = vec![NONE; m];
         let mut row_pos = vec![NONE; m];
@@ -834,6 +854,39 @@ mod tests {
                 // Scratch values buffer must be left all-zero.
                 assert!(scratch.vals.iter().all(|&v| v == 0.0));
             }
+        }
+    }
+
+    /// The counting-sort column order equals the `(nnz, position)` sort on
+    /// random bases of mostly singleton columns, where nearly every
+    /// position ties with many others.
+    #[test]
+    fn sparsest_first_matches_nnz_position_sort() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for trial in 0..50 {
+            let m = 1 + trial * 7 % 90;
+            let mut a = CscMatrix::empty(m);
+            for _ in 0..2 * m {
+                let nnz = if rng.random_range(0.0..1.0) < 0.7 {
+                    1
+                } else {
+                    rng.random_range(1..=m.min(5))
+                };
+                let mut rows: Vec<u32> = (0..m as u32).collect();
+                for k in 0..nnz {
+                    let pick = rng.random_range(k..m);
+                    rows.swap(k, pick);
+                }
+                let mut col: Vec<(u32, f64)> = rows[..nnz].iter().map(|&r| (r, 1.0)).collect();
+                col.sort_unstable_by_key(|e| e.0);
+                a.push_col(&col);
+            }
+            let basis: Vec<usize> = (0..m).map(|_| rng.random_range(0..2 * m)).collect();
+            let mut want: Vec<u32> = (0..m as u32).collect();
+            want.sort_by_key(|&p| (a.col_nnz(basis[p as usize]), p));
+            assert_eq!(sparsest_first(&a, &basis), want, "trial {trial}");
         }
     }
 

@@ -137,9 +137,11 @@ pub struct SolveStats {
     /// Nonbasic boxed variables flipped between their bounds by the dual
     /// ratio test (no basis change). Primal flips are in `bound_flips`.
     pub dual_bound_flips: u64,
-    /// Nonbasic columns whose reduced cost a primal pricing scan examined
-    /// (full scans charge every nonbasic column; candidate-list scans only
-    /// the sublist).
+    /// Nonbasic columns whose reduced cost a primal pricing scan examined.
+    /// Full Devex scans and candidate-list refreshes charge every eligible
+    /// column (one that could enter); a Bland pick charges one column;
+    /// candidate-list minor iterations charge every sublist entry,
+    /// eligible or not.
     pub pricing_candidates_scanned: u64,
     /// Full refreshes of the partial-pricing candidate list (each one is a
     /// complete eligibility scan).

@@ -161,6 +161,47 @@ fn dual_path_engages_on_rhs_tighten() {
 }
 
 #[test]
+fn dual_bound_flips_match_cold() {
+    // max sum (j+1) x_j over boxed x_j in [0, 1] under sum x_j <= 10 and
+    // x_0 >= 0.5: the optimum rests every x_j at its upper bound, with both
+    // row activities basic. Tightening the first row to <= 4.5 leaves a
+    // violation of 3.5 that the three cheapest columns absorb by flipping
+    // to zero before x_3 enters. Flipping x_0 breaks the second row, which
+    // x_3's column does not touch, so only the flips' own update can put
+    // that row into the dual loop's infeasible set (checked after every
+    // pivot in debug builds); a later dual pivot restores x_0 = 0.5. The
+    // padding rows keep the FTRANs below the dense-fallback threshold, so
+    // a pivot refreshes only the positions it moved.
+    let mut p = Problem::new(Objective::Maximize);
+    let cols: Vec<Col> = (0..8)
+        .map(|j| p.add_col(0.0, 1.0, (j + 1) as f64))
+        .collect();
+    let entries: Vec<(Col, f64)> = cols.iter().map(|&c| (c, 1.0)).collect();
+    let r = p.add_row(f64::NEG_INFINITY, 10.0, &entries);
+    p.add_row(0.5, f64::INFINITY, &[(cols[0], 1.0)]);
+    let pad = p.add_col(0.0, 1.0, 0.0);
+    for _ in 0..16 {
+        p.add_row(f64::NEG_INFINITY, 5.0, &[(pad, 1.0)]);
+    }
+    let mut sess = SolverSession::new(&p).unwrap();
+    assert_eq!(sess.solve().unwrap().status, Status::Optimal);
+
+    p.set_row_bounds(r, f64::NEG_INFINITY, 4.5);
+    sess.set_row_bounds(r, f64::NEG_INFINITY, 4.5);
+    let warm = sess.solve().unwrap();
+    let cold = solve(&p).unwrap();
+    assert_eq!(warm.status, Status::Optimal);
+    assert!(
+        warm.stats.dual_iterations > 1 && warm.stats.dual_bound_flips > 0,
+        "the tightened row must be healed by dual flips and pivots: {:?}",
+        warm.stats
+    );
+    assert!((warm.objective - cold.objective).abs() < 1e-9);
+    // x_0 at its floor, the four most valuable columns full.
+    assert!((warm.objective - (0.5 + 8.0 + 7.0 + 6.0 + 5.0)).abs() < 1e-9);
+}
+
+#[test]
 fn dual_path_skipped_after_cost_edit() {
     let (mut p, r) = tighten_instance();
     let mut sess = SolverSession::new(&p).unwrap();
